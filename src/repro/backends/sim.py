@@ -143,11 +143,12 @@ class SimBackend(ControlBackend):
         Purely observational: nothing here feeds back into simulated
         state, so the zero-latency path stays bit-identical.
         """
-        node = self.hub.node
-        if any(node.uncore(s).in_transition for s in range(node.n_sockets)):
-            self.settling_ticks += 1
-            if self._metrics is not None:
-                self._metrics.counter("repro.actuation.settling_ticks").inc()
+        for _, unc in self.hub.node.sockets:
+            if unc.in_transition:
+                self.settling_ticks += 1
+                if self._metrics is not None:
+                    self._metrics.counter("repro.actuation.settling_ticks").inc()
+                return
 
     # ------------------------------------------------------------------
     # Internals

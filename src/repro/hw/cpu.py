@@ -89,6 +89,7 @@ class CPUCoreModel:
         self._utils = np.zeros(self.n_cores)
         self._freqs = np.full(self.n_cores, self.min_ghz)
         self._ipc = np.zeros(self.n_cores)
+        self._active = np.zeros(self.n_cores, dtype=bool)
 
     # ------------------------------------------------------------------
     # State update
@@ -110,22 +111,20 @@ class CPUCoreModel:
         if not (0.0 <= socket_util <= 1.0):
             raise PowerModelError(f"socket_util must be in [0, 1], got {socket_util!r}")
         jitter = self._rng.normal(1.0, 0.06, self.n_cores)
-        self._utils = np.clip(socket_util * self._weights * jitter, 0.0, 1.0)
+        # Clipping is spelled as the minimum/maximum ufuncs: the same bits
+        # as np.clip without its Python wrapper, which dominates at this size.
+        self._utils = np.minimum(np.maximum(socket_util * self._weights * jitter, 0.0), 1.0)
         # DVFS: frequency tracks utilisation with a mild floor; a lightly
         # loaded core sits near min frequency, a saturated core turbos.
         span = self.max_ghz - self.min_ghz
-        self._freqs = np.clip(
-            self.min_ghz + span * np.minimum(self._utils * 1.3, 1.0),
-            self.min_ghz,
+        self._freqs = np.minimum(
+            np.maximum(self.min_ghz + span * np.minimum(self._utils * 1.3, 1.0), self.min_ghz),
             self.max_ghz,
         )
         latency_term = 0.88 + 0.12 * clamp(uncore_ratio, 0.0, 1.0)
         stall_term = clamp(mem_stall_factor, 0.05, 1.0)
-        self._ipc = np.where(
-            self._utils > 1e-3,
-            self.peak_ipc * stall_term * latency_term,
-            0.0,
-        )
+        self._active = self._utils > 1e-3
+        self._ipc = np.where(self._active, self.peak_ipc * stall_term * latency_term, 0.0)
 
     # ------------------------------------------------------------------
     # Observables
@@ -145,19 +144,23 @@ class CPUCoreModel:
         """Per-core IPC after the latest :meth:`step`."""
         return self._ipc
 
+    def mean_core_freq_ghz(self) -> float:
+        """Socket-average core frequency (``core_freqs_ghz.mean()``, bit for bit)."""
+        return float(np.add.reduce(self._freqs) / self.n_cores)
+
     def mean_ipc(self) -> float:
         """Socket-average IPC over *active* cores (0 if all idle)."""
-        active = self._utils > 1e-3
-        if not active.any():
+        k = np.count_nonzero(self._active)
+        if k == 0:
             return 0.0
-        return float(self._ipc[active].mean())
+        return float(np.add.reduce(self._ipc[self._active]) / k)
 
     def power_w(self) -> float:
         """Instantaneous core-domain power of the socket."""
         p = self.power_params
         f_ratio_sq = (self._freqs / self.max_ghz) ** 2
         per_core = p.idle_core_w + p.peak_core_w * self._utils * (0.3 + 0.7 * f_ratio_sq)
-        return float(p.static_w + per_core.sum())
+        return float(p.static_w + np.add.reduce(per_core))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CPUCoreModel(n_cores={self.n_cores}, util={self._utils.mean():.2f})"

@@ -105,20 +105,26 @@ class GPUGroup:
             raise PowerModelError(f"imbalance must be in [0, 1), got {imbalance!r}")
         self.gpus: List[GPUModel] = list(gpus)
         self.imbalance = float(imbalance)
+        n = len(self.gpus)
+        # Per-GPU utilisation skew, fixed by the group's size.
+        self._skews = tuple(
+            1.0 - self.imbalance * (i / max(1, n - 1)) if n > 1 else 1.0 for i in range(n)
+        )
 
     def __len__(self) -> int:
         return len(self.gpus)
 
     def step(self, util: float) -> None:
         """Drive every member at ``util`` with a deterministic skew."""
-        n = len(self.gpus)
-        for i, gpu in enumerate(self.gpus):
-            skew = 1.0 - self.imbalance * (i / max(1, n - 1)) if n > 1 else 1.0
+        for gpu, skew in zip(self.gpus, self._skews):
             gpu.step(util * skew)
 
     def power_w(self) -> float:
         """Total board power of the group."""
-        return float(sum(g.power_w() for g in self.gpus))
+        total = 0.0
+        for gpu in self.gpus:
+            total += gpu.power_w()
+        return total
 
     def idle_power_w(self) -> float:
         """Total idle-floor power of the group."""
@@ -126,7 +132,10 @@ class GPUGroup:
 
     def mean_sm_clock_ghz(self) -> float:
         """Average SM clock across the group."""
-        return float(sum(g.sm_clock_ghz for g in self.gpus) / len(self.gpus))
+        total = 0.0
+        for gpu in self.gpus:
+            total += gpu.sm_clock_ghz
+        return total / len(self.gpus)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GPUGroup(n={len(self.gpus)}, {self.gpus[0].name!r})"

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import HardwareError
 from repro.hw.cpu import CPUCoreModel
 from repro.hw.gpu import GPUGroup
@@ -137,13 +135,23 @@ class HeterogeneousNode:
         for _, unc in self.sockets:
             unc.force(freq_ghz)
 
+    # Per-socket means are running float sums divided by the socket count.
+    # numpy folds fewer than eight values left to right, so for up to seven
+    # sockets this is np.mean bit for bit, without its wrapper cost.
+
     def uncore_effective_ghz(self) -> float:
         """Mean effective uncore frequency across sockets."""
-        return float(np.mean([unc.effective_ghz for _, unc in self.sockets]))
+        total = 0.0
+        for _, unc in self.sockets:
+            total += unc.effective_ghz
+        return total / len(self.sockets)
 
     def uncore_target_ghz(self) -> float:
         """Mean target uncore frequency across sockets."""
-        return float(np.mean([unc.target_ghz for _, unc in self.sockets]))
+        total = 0.0
+        for _, unc in self.sockets:
+            total += unc.target_ghz
+        return total / len(self.sockets)
 
     @property
     def uncore_min_ghz(self) -> float:
@@ -191,14 +199,15 @@ class HeterogeneousNode:
 
         core_w = 0.0
         uncore_w = 0.0
-        ipc_values = []
-        freq_values = []
+        ipc_sum = 0.0
+        freq_sum = 0.0
         for cpu, unc in self.sockets:
             cpu.step(cpu_util, stall_factor, unc_ratio)
             core_w += cpu.power_w()
             uncore_w += unc.power_w(svc.traffic_util)
-            ipc_values.append(cpu.mean_ipc())
-            freq_values.append(float(cpu.core_freqs_ghz.mean()))
+            ipc_sum += cpu.mean_ipc()
+            freq_sum += cpu.mean_core_freq_ghz()
+        n_sockets = len(self.sockets)
 
         self.gpus.step(gpu_util)
 
@@ -217,8 +226,8 @@ class HeterogeneousNode:
             power=power,
             uncore_target_ghz=self.uncore_target_ghz(),
             uncore_effective_ghz=eff_unc,
-            mean_ipc=float(np.mean(ipc_values)),
-            mean_core_freq_ghz=float(np.mean(freq_values)),
+            mean_ipc=ipc_sum / n_sockets,
+            mean_core_freq_ghz=freq_sum / n_sockets,
             gpu_sm_clock_ghz=self.gpus.mean_sm_clock_ghz(),
             served_fraction=svc.served_fraction,
         )

@@ -53,6 +53,7 @@ IA32_FIXED_CTR1 = 0x30A
 #: Fixed counters are 48 bits wide on the parts modelled here.
 COUNTER_WIDTH_BITS = 48
 _COUNTER_MOD = 1 << COUNTER_WIDTH_BITS
+_COUNTER_MOD_U64 = np.uint64(_COUNTER_MOD)
 
 _MAX_RATIO_MASK = 0x7F
 _MIN_RATIO_SHIFT = 8
@@ -113,7 +114,7 @@ def counter_delta_array(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
         raise CounterOverflowError("counter sweep contains values outside the 48-bit range")
     # 2^64 is a multiple of 2^48, so uint64 wraparound followed by mod 2^48
     # is exact for one counter wrap.
-    return (later - earlier) % np.uint64(_COUNTER_MOD)
+    return (later - earlier) % _COUNTER_MOD_U64
 
 
 class MSRDevice:
@@ -140,6 +141,13 @@ class MSRDevice:
         n = node.n_cores
         self._instructions = np.zeros(n, dtype=np.uint64)
         self._cycles = np.zeros(n, dtype=np.uint64)
+        # Node-wide scratch rows for on_tick, reused every tick.
+        self._cpus = [cpu for cpu, _ in node.sockets]
+        self._freq_hz = np.empty(n)
+        self._active = np.empty(n)
+        self._ipc = np.empty(n)
+        self._advance = np.empty(n)
+        self._advance_counts = np.empty(n, dtype=np.uint64)
         # Shadow values of 0x620 per socket, so reads return exactly what
         # was last written (including min-ratio bits nobody touched).
         self._ratio_limit_shadow: Dict[int, int] = {}
@@ -153,20 +161,34 @@ class MSRDevice:
     # Engine-facing
     # ------------------------------------------------------------------
     def on_tick(self, dt_s: float) -> None:
-        """Advance the per-core fixed counters by one tick."""
-        offset = 0
-        for s in range(self.node.n_sockets):
-            cpu = self.node.cpu(s)
-            n = cpu.n_cores
-            freq_hz = cpu.core_freqs_ghz * 1e9
-            # Unhalted cycles: idle cores are mostly in C-states.
-            active = np.maximum(cpu.core_utils, 0.02)
-            cyc = (freq_hz * active * dt_s).astype(np.uint64)
-            ins = (cpu.core_ipc * freq_hz * active * dt_s).astype(np.uint64)
-            sl = slice(offset, offset + n)
-            self._cycles[sl] = (self._cycles[sl] + cyc) % _COUNTER_MOD
-            self._instructions[sl] = (self._instructions[sl] + ins) % _COUNTER_MOD
-            offset += n
+        """Advance the per-core fixed counters by one tick.
+
+        All sockets advance in one pass over node-wide rows, in place. The
+        products keep the order ``ipc * freq_hz * active * dt_s``: float
+        multiplication is not associative, and the truncated counts pin it.
+        """
+        cpus = self._cpus
+        freq_hz, active, ipc = self._freq_hz, self._active, self._ipc
+        advance, counts = self._advance, self._advance_counts
+        np.concatenate([cpu.core_freqs_ghz for cpu in cpus], out=freq_hz)
+        np.multiply(freq_hz, 1e9, out=freq_hz)
+        # Unhalted cycles: idle cores are mostly in C-states.
+        np.concatenate([cpu.core_utils for cpu in cpus], out=active)
+        np.maximum(active, 0.02, out=active)
+        np.concatenate([cpu.core_ipc for cpu in cpus], out=ipc)
+
+        np.multiply(freq_hz, active, out=advance)
+        np.multiply(advance, dt_s, out=advance)
+        np.copyto(counts, advance, casting="unsafe")
+        np.add(self._cycles, counts, out=self._cycles)
+        np.remainder(self._cycles, _COUNTER_MOD_U64, out=self._cycles)
+
+        np.multiply(ipc, freq_hz, out=advance)
+        np.multiply(advance, active, out=advance)
+        np.multiply(advance, dt_s, out=advance)
+        np.copyto(counts, advance, casting="unsafe")
+        np.add(self._instructions, counts, out=self._instructions)
+        np.remainder(self._instructions, _COUNTER_MOD_U64, out=self._instructions)
 
     # ------------------------------------------------------------------
     # Register access
@@ -295,9 +317,8 @@ class MSRDevice:
         deltas for every window that does not span the shift itself.
         """
         off = np.uint64(offset % _COUNTER_MOD)
-        mod = np.uint64(_COUNTER_MOD)
-        self._instructions = (self._instructions + off) % mod
-        self._cycles = (self._cycles + off) % mod
+        self._instructions = (self._instructions + off) % _COUNTER_MOD_U64
+        self._cycles = (self._cycles + off) % _COUNTER_MOD_U64
 
     def _check_core(self, core: int) -> None:
         if not (0 <= core < self.node.n_cores):

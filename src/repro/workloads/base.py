@@ -12,6 +12,7 @@ performance-loss mechanism the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,9 +86,13 @@ class Workload:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "tags", tuple(self.tags))
 
-    @property
+    @cached_property
     def nominal_duration_s(self) -> float:
-        """Total nominal duration (the runtime at fully satisfied demand)."""
+        """Total nominal duration (the runtime at fully satisfied demand).
+
+        Summed once on first read and cached on the instance (segments are
+        immutable); the engine reads it every tick through ``progress``.
+        """
         return float(sum(s.duration_s for s in self.segments))
 
     @property
