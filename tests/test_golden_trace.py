@@ -20,6 +20,37 @@ gen_golden_trace = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gen_golden_trace)
 
 
+def first_divergence(golden, result):
+    """``(tick, channel, expected, got)`` of the earliest mismatch, or None.
+
+    Scans every golden channel and reports the lowest diverging tick (ties
+    broken by channel order); a length mismatch diverges at the first tick
+    past the shorter array, with ``None`` standing in for the missing value.
+    """
+    first = None
+    for channel in gen_golden_trace.GOLDEN_CHANNELS:
+        expected = golden[channel]
+        got = result.recorder.series(channel).values
+        n = min(len(expected), len(got))
+        diff = np.flatnonzero(expected[:n] != got[:n])
+        if len(diff):
+            tick = int(diff[0])
+        elif len(expected) != len(got):
+            tick = n
+        else:
+            continue
+        if first is None or tick < first[0]:
+            exp = float(expected[tick]) if tick < len(expected) else None
+            val = float(got[tick]) if tick < len(got) else None
+            first = (tick, channel, exp, val)
+    return first
+
+
+def assert_channels_match(golden, result):
+    divergence = first_divergence(golden, result)
+    assert divergence is None, "first divergence (tick, channel, expected, got): %r" % (divergence,)
+
+
 @pytest.fixture(scope="module", params=["magus", "ups"])
 def golden_pair(request):
     """(pinned arrays, fresh run) for one governor."""
@@ -44,12 +75,20 @@ class TestGoldenEquivalence:
 
     def test_every_channel_bit_identical(self, golden_pair):
         golden, result = golden_pair
-        mismatched = [
-            channel
-            for channel in gen_golden_trace.GOLDEN_CHANNELS
-            if not np.array_equal(golden[channel], result.recorder.series(channel).values)
-        ]
-        assert mismatched == []
+        assert_channels_match(golden, result)
+
+    def test_divergence_report_names_first_tick_and_channel(self, golden_pair):
+        golden, result = golden_pair
+        perturbed = {c: np.array(golden[c]) for c in gen_golden_trace.GOLDEN_CHANNELS}
+        perturbed["pkg_w"][123] += 1.0
+        perturbed["core_w"][400] += 1.0
+        expected = float(perturbed["pkg_w"][123])
+        got = float(result.recorder.series("pkg_w").values[123])
+        assert first_divergence(perturbed, result) == (123, "pkg_w", expected, got)
+        truncated = {c: np.array(golden[c])[:-1] for c in gen_golden_trace.GOLDEN_CHANNELS}
+        tick = len(result.recorder) - 1
+        first_channel = gen_golden_trace.GOLDEN_CHANNELS[0]
+        assert first_divergence(truncated, result)[:3] == (tick, first_channel, None)
 
     def test_golden_schema_is_subset_of_engine_schema(self, golden_pair):
         # The observer engine records a superset (topology-derived per-core
@@ -110,12 +149,7 @@ class TestObservabilityIsPassThrough:
 
     def test_traces_bit_identical_to_golden(self, observed_pair):
         golden, (result, _daemon, _sup), _plain = observed_pair
-        mismatched = [
-            channel
-            for channel in gen_golden_trace.GOLDEN_CHANNELS
-            if not np.array_equal(golden[channel], result.recorder.series(channel).values)
-        ]
-        assert mismatched == []
+        assert_channels_match(golden, result)
 
     def test_accounting_identical_to_uninstrumented(self, observed_pair):
         _golden, (_r, daemon, _sup), (_rp, plain_daemon, _) = observed_pair
@@ -161,12 +195,7 @@ class TestSupervisionIsPassThrough:
 
     def test_traces_bit_identical_to_golden(self, supervised_pair):
         golden, (result, _daemon, _sup), _plain = supervised_pair
-        mismatched = [
-            channel
-            for channel in gen_golden_trace.GOLDEN_CHANNELS
-            if not np.array_equal(golden[channel], result.recorder.series(channel).values)
-        ]
-        assert mismatched == []
+        assert_channels_match(golden, result)
 
     def test_accounting_identical_to_unsupervised(self, supervised_pair):
         _golden, (_r, daemon, _sup), (_rp, plain_daemon, _) = supervised_pair
