@@ -32,7 +32,7 @@ def test_manifest_covers_the_matrix():
 
 @pytest.mark.parametrize("key", sorted(CELLS))
 def test_cell_matches_fingerprint(key):
-    got = gen_fingerprints.fingerprint(gen_fingerprints.run_cell(CELLS[key]))
+    got = gen_fingerprints.fingerprint_cell(CELLS[key])
     report = gen_fingerprints.diff(MANIFEST["cells"][key], got)
     assert report is None, f"{key}: {report}"
 
@@ -59,3 +59,8 @@ class TestDiffReport:
         got = dict(self.BASE, ticks=700, scalars="s1", blocks=["b0", "b1", "b2", "b3"])
         report = gen_fingerprints.diff(self.BASE, got)
         assert report == "first diverging block 3 (ticks 768-1023); ticks 600 -> 700; run scalars differ"
+
+    def test_journal_digest_reported(self):
+        expected = dict(self.BASE, journal="j0")
+        report = gen_fingerprints.diff(expected, dict(self.BASE, journal="j1"))
+        assert report == "grant journal differs"
