@@ -55,7 +55,7 @@ def _simulate_five_seconds():
     node = preset.build_node(RngStreams(0))
     node.force_uncore_all(preset.uncore_min_ghz)
     hub = TelemetryHub(node, preset.telemetry)
-    engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+    engine = SimulationEngine(node, standard_observers(node, hub), clock=SimClock(0.01))
     workload = get_workload("unet", seed=1)
     return engine.run(workload, max_time_s=SIM_SECONDS)
 

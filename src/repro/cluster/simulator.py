@@ -41,6 +41,7 @@ from repro.obs.tsdb import TimeSeriesDB, merge_tsdbs
 from repro.parallel.pool import map_parallel
 from repro.parallel.retry import RetryPolicy
 from repro.runtime.session import make_governor, run_application
+from repro.workloads.registry import get_workload
 
 __all__ = [
     "JobOutcome",
@@ -97,7 +98,7 @@ def _run_job(
     """
     result = run_application(
         preset_name,
-        None if job.workload is None else job.workload,
+        get_workload(job.workload, seed=job.seed, gpu_count=job.gpu_count),
         make_governor(governor_name),
         seed=job.seed,
         dt_s=dt_s,

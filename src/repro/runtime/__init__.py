@@ -1,7 +1,7 @@
 """Runtime harness: daemons, sessions and overhead measurement.
 
 * :mod:`~repro.runtime.daemon` — wraps a governor into the engine's
-  :class:`~repro.sim.engine.ScheduledRuntime` protocol, owning all cost
+  :class:`~repro.sim.observers.ScheduledRuntime` protocol, owning all cost
   accounting (invocation time, monitoring power);
 * :mod:`~repro.runtime.session` — ``run_application``: one workload under
   one governor on one system, returning a :class:`RunResult`;

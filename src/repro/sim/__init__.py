@@ -8,12 +8,14 @@ models are built on:
 * :class:`~repro.sim.trace.TraceRecorder` — append-only columnar
   time-series traces (positional ``record_row`` fast path),
 * :class:`~repro.sim.channels.ChannelRegistry` — per-layer trace-channel
-  ownership, replacing the old fixed ``TRACE_CHANNELS`` schema,
+  ownership (each run's schema is whatever its observers declare),
 * :mod:`~repro.sim.observers` — the :class:`~repro.sim.observers.TickObserver`
   protocol and the standard observer stack (telemetry advancement, trace
   capture, scheduled-runtime firing),
 * :class:`~repro.sim.engine.SimulationEngine` — the engine core: clock +
-  physics step + observer dispatch.
+  physics step + observer dispatch, built as
+  ``SimulationEngine(node, observers, clock)`` with the observers usually
+  from :func:`~repro.sim.observers.standard_observers`.
 """
 
 from repro.sim.clock import SimClock
@@ -25,12 +27,13 @@ from repro.sim.observers import (
     CoreFrequencyObserver,
     NodeStateObserver,
     RuntimeObserver,
+    ScheduledRuntime,
     TelemetryObserver,
     TickObserver,
     core_freq_channels,
     standard_observers,
 )
-from repro.sim.engine import ScheduledRuntime, SimulationEngine
+from repro.sim.engine import SimulationEngine
 
 __all__ = [
     "SimClock",

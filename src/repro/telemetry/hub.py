@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.backends.base import ControlBackend
-from repro.backends.latency import LatencyModel
 from repro.backends.sim import SimBackend
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
@@ -69,13 +68,11 @@ class TelemetryHub:
         actuation; the MSR uncore-limit register absent, per-core counters
         still available for completeness).
     backend:
-        A pre-built :class:`~repro.backends.base.ControlBackend` to route
-        actuation through; omitted, the hub builds a
-        :class:`~repro.backends.sim.SimBackend` over its own devices.
-        Mutually exclusive with ``latency``.
-    latency:
-        Switch-latency model for the default backend; omitted means the
-        zero model (instantaneous transitions, the pre-backend behaviour).
+        The :class:`~repro.backends.base.ControlBackend` to route actuation
+        through; omitted, a zero-latency
+        :class:`~repro.backends.sim.SimBackend` (instantaneous transitions,
+        the pre-backend behaviour). Pass ``SimBackend(latency_model)`` to
+        model switch latency.
     """
 
     def __init__(
@@ -85,15 +82,9 @@ class TelemetryHub:
         vendor: str = "intel",
         *,
         backend: Optional[ControlBackend] = None,
-        latency: Optional[LatencyModel] = None,
     ):
         if vendor not in ("intel", "amd"):
             raise TelemetryError(f"unknown vendor {vendor!r}; expected 'intel' or 'amd'")
-        if backend is not None and latency is not None:
-            raise TelemetryError(
-                "pass either a pre-built backend or a latency model, not both "
-                "(a latency model parameterises the default SimBackend)"
-            )
         self.node = node
         self.costs = costs
         self.vendor = vendor
@@ -103,7 +94,7 @@ class TelemetryHub:
         self.nvml = NVMLDevice(node)
         self.hsmp: Optional[HSMPDevice] = HSMPDevice(node, costs) if vendor == "amd" else None
         #: The control backend every actuation routes through.
-        self.backend: ControlBackend = backend if backend is not None else SimBackend(latency)
+        self.backend: ControlBackend = backend if backend is not None else SimBackend()
         self.backend.bind(self)
         #: Installed fault injector, if any (see :meth:`install_fault_injector`).
         self.fault_injector: Optional["FaultInjector"] = None

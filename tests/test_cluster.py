@@ -5,6 +5,8 @@ import pytest
 
 from repro.cluster import ClusterJob, ClusterSimulator, compare_fleets
 from repro.errors import ExperimentError
+from repro.runtime.session import make_governor, run_application
+from repro.workloads.registry import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,23 @@ class TestFleetRun:
         serial = small_fleet.run_fleet("magus", n_workers=1)
         parallel = small_fleet.run_fleet("magus", n_workers=2)
         assert np.allclose(serial.aggregate_power_w, parallel.aggregate_power_w)
+
+
+    def test_job_gpu_count_reaches_the_workload(self):
+        # A 4-GPU job must simulate the 4-GPU workload (more host staging
+        # traffic), exactly as a direct run of that workload does.
+        jobs = [
+            ClusterJob("one", "unet", seed=1, max_time_s=3.0),
+            ClusterJob("four", "unet", seed=1, gpu_count=4, max_time_s=3.0),
+        ]
+        fleet = ClusterSimulator("intel_4a100", jobs).run_fleet("magus", n_workers=1)
+        energy = {o.job.name: o.total_energy_j for o in fleet.outcomes}
+        direct = run_application(
+            "intel_4a100", get_workload("unet", seed=1, gpu_count=4),
+            make_governor("magus"), seed=1, max_time_s=3.0, per_core_channels=False,
+        )
+        assert energy["four"] == direct.total_energy_j
+        assert energy["four"] != energy["one"]
 
 
 class TestFleetObservability:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimClock
-from repro.sim.engine import TRACE_CHANNELS, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.observers import (
     BaseTickObserver,
     CoreFrequencyObserver,
@@ -44,28 +44,33 @@ class _StuckRuntime(_CountingRuntime):
         # never advances its schedule
 
 
+def _engine(node, hub, runtimes=(), dt_s=0.01):
+    """An engine over the standard observer stack of ``node``/``hub``."""
+    return SimulationEngine(node, standard_observers(node, hub, runtimes), clock=SimClock(dt_s))
+
+
 class TestRun:
     def test_workload_runs_to_completion(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(tiny_workload, max_time_s=60.0)
         assert result.completed
         # Min-uncore idle state stretches the memory-heavy middle segment.
         assert result.runtime_s >= tiny_workload.nominal_duration_s - 0.02
 
     def test_idle_run_lasts_exactly_horizon(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=1.0)
         assert result.completed
         assert result.runtime_s == pytest.approx(1.0)
 
     def test_trace_has_all_channels(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(tiny_workload)
-        for channel in TRACE_CHANNELS:
+        for channel in (*NodeStateObserver.CHANNELS, *core_freq_channels(a100_node)):
             assert len(result.recorder.series(channel)) > 0
 
     def test_one_sample_per_tick(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=0.5)
         assert len(result.recorder) == 50
 
@@ -77,26 +82,26 @@ class TestRun:
         node.memory = MemorySubsystem(0.5, f_ref_ghz=1.8, f_max_ghz=2.2)
         node.force_uncore_all(0.8)
         hub = TelemetryHub(node, a100_preset.telemetry)
-        engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+        engine = _engine(node, hub)
         result = engine.run(tiny_workload, max_time_s=600.0, safety_factor=2.0)
         assert not result.completed
         assert result.horizon_s == pytest.approx(2.0 * tiny_workload.nominal_duration_s)
 
     def test_invalid_horizon_rejected(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub)
+        engine = _engine(a100_node, a100_hub)
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=0.0)
 
     def test_mismatched_hub_rejected(self, a100_preset, a100_node, a100_hub):
         other = a100_preset.build_node()
-        with pytest.raises(SimulationError):
-            SimulationEngine(other, a100_hub)
+        with pytest.raises(SimulationError, match="bound to a different node"):
+            standard_observers(other, a100_hub)
 
 
 class TestRuntimeScheduling:
     def test_runtime_fires_on_schedule(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=0.25)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=1.0)
         assert len(rt.invocations) == 4
         assert rt.invocations[0] == pytest.approx(0.25)
@@ -104,18 +109,18 @@ class TestRuntimeScheduling:
     def test_multiple_runtimes(self, a100_node, a100_hub):
         fast = _CountingRuntime(period=0.2)
         slow = _CountingRuntime(period=0.5)
-        engine = SimulationEngine(a100_node, a100_hub, [fast, slow], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [fast, slow])
         engine.run(None, max_time_s=1.0)
         assert len(fast.invocations) == 5
         assert len(slow.invocations) == 2
 
     def test_stuck_runtime_detected(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, [_StuckRuntime()], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [_StuckRuntime()])
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=1.0)
 
     def test_progress_channel_tracks_workload(self, a100_node, a100_hub, tiny_workload):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(tiny_workload)
         progress = result.recorder.series("progress").values
         assert progress[0] < 0.05
@@ -139,7 +144,7 @@ class TestFiringSemantics:
                 super().invoke(now_s)
 
         first, second = _Tagged("first"), _Tagged("second")
-        engine = SimulationEngine(a100_node, a100_hub, [first, second], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [first, second])
         engine.run(None, max_time_s=0.5)
         # Both due at 0.25 and 0.5 within the same ticks, dispatched in
         # registration order each time.
@@ -149,7 +154,7 @@ class TestFiringSemantics:
 
     def test_runtime_due_exactly_on_horizon_fires(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=1.0)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=1.0)
         # next_fire_s == 1.0 lands exactly on the horizon boundary: the tick
         # ending at t=1.0 still runs, so the invocation happens.
@@ -161,12 +166,12 @@ class TestFiringSemantics:
         # the tick fire (4 per tick), none are dropped. Binary-exact values
         # keep the accumulated schedule free of float drift.
         rt = _CountingRuntime(period=0.00390625)
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.015625))
+        engine = _engine(a100_node, a100_hub, [rt], dt_s=0.015625)
         engine.run(None, max_time_s=0.25)
         assert len(rt.invocations) == 64
 
     def test_schedule_not_advanced_guard(self, a100_node, a100_hub):
-        engine = SimulationEngine(a100_node, a100_hub, [_StuckRuntime()], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [_StuckRuntime()])
         with pytest.raises(SimulationError, match="did not advance its schedule"):
             engine.run(None, max_time_s=1.0)
 
@@ -176,29 +181,31 @@ class TestFiringSemantics:
                 self.invocations.append(now_s)
                 self._next = now_s - self.period
 
-        engine = SimulationEngine(a100_node, a100_hub, [_Backwards()], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [_Backwards()])
         with pytest.raises(SimulationError, match="did not advance its schedule"):
             engine.run(None, max_time_s=1.0)
 
     def test_never_firing_runtime_is_never_invoked(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=float("inf"))
-        engine = SimulationEngine(a100_node, a100_hub, [rt], clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub, [rt])
         engine.run(None, max_time_s=0.5)
         assert rt.invocations == []
 
 
 class TestObserverAPI:
-    def test_legacy_and_observer_args_are_exclusive(self, a100_node, a100_hub):
-        with pytest.raises(SimulationError):
-            SimulationEngine(a100_node, a100_hub, observers=[NodeStateObserver()])
+    def test_constructor_takes_node_observers_clock(self):
+        import inspect
+
+        params = list(inspect.signature(SimulationEngine).parameters)
+        assert params == ["node", "observers", "clock"]
 
     def test_engine_needs_some_observer_source(self, a100_node):
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError):
             SimulationEngine(a100_node)
 
     def test_explicit_observer_stack_runs(self, a100_node, a100_hub):
         observers = standard_observers(a100_node, a100_hub)
-        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
+        engine = SimulationEngine(a100_node, observers, clock=SimClock(0.01))
         result = engine.run(None, max_time_s=0.2)
         assert len(result.recorder) == 20
 
@@ -216,7 +223,7 @@ class TestObserverAPI:
                 events.append(("finish", result.completed))
 
         observers = standard_observers(a100_node, a100_hub, extra=[_Probe()])
-        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
+        engine = SimulationEngine(a100_node, observers, clock=SimClock(0.01))
         engine.run(None, max_time_s=0.05)
         assert events[0] == "start"
         assert events.count("tick") == 5
@@ -225,9 +232,7 @@ class TestObserverAPI:
     def test_run_without_recording_observers_has_no_recorder(self, a100_node, a100_hub):
         from repro.sim.observers import TelemetryObserver
 
-        engine = SimulationEngine(
-            a100_node, observers=[TelemetryObserver(a100_hub)], clock=SimClock(0.01)
-        )
+        engine = SimulationEngine(a100_node, [TelemetryObserver(a100_hub)], clock=SimClock(0.01))
         result = engine.run(None, max_time_s=0.1)
         assert result.recorder is None
         assert result.completed
@@ -257,7 +262,7 @@ class TestObserverAPI:
         assert names[-1] == f"core{node.n_cores - 1}_freq_ghz"
 
     def test_dual_socket_records_both_sockets(self, a100_preset, a100_hub, a100_node):
-        engine = SimulationEngine(a100_node, a100_hub, clock=SimClock(0.01))
+        engine = _engine(a100_node, a100_hub)
         result = engine.run(None, max_time_s=0.1)
         n_cores = a100_preset.n_sockets * a100_preset.cores_per_socket
         per_core = [c for c in result.recorder.channels if c.endswith("_freq_ghz") and c.startswith("core")]
@@ -270,7 +275,7 @@ class TestObserverAPI:
         node = small.build_node(RngStreams(0))
         node.force_uncore_all(small.uncore_min_ghz)
         hub = TelemetryHub(node, small.telemetry)
-        engine = SimulationEngine(node, hub, clock=SimClock(0.01))
+        engine = _engine(node, hub)
         # Run under load: per-core DVFS jitter makes each core's frequency
         # trace distinct, so a copied channel would be detectable.
         result = engine.run(tiny_workload, max_time_s=2.0)
@@ -289,20 +294,20 @@ class TestObserverAPI:
 
     def test_per_core_capture_is_optional(self, a100_node, a100_hub):
         observers = standard_observers(a100_node, a100_hub, per_core_channels=False)
-        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
+        engine = SimulationEngine(a100_node, observers, clock=SimClock(0.01))
         result = engine.run(None, max_time_s=0.1)
         assert result.recorder.channels == NodeStateObserver.CHANNELS
 
     def test_mismatched_core_observer_rejected(self, a100_preset, a100_node, a100_hub):
         other = a100_preset.build_node()
         observers = [NodeStateObserver(), CoreFrequencyObserver(other)]
-        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
+        engine = SimulationEngine(a100_node, observers, clock=SimClock(0.01))
         with pytest.raises(SimulationError):
             engine.run(None, max_time_s=0.1)
 
     def test_runtime_observer_alone_schedules(self, a100_node, a100_hub):
         rt = _CountingRuntime(period=0.25)
         observers = standard_observers(a100_node, a100_hub, [rt])
-        engine = SimulationEngine(a100_node, observers=observers, clock=SimClock(0.01))
+        engine = SimulationEngine(a100_node, observers, clock=SimClock(0.01))
         engine.run(None, max_time_s=1.0)
         assert len(rt.invocations) == 4
