@@ -22,7 +22,12 @@ which is usually enough to find the change that moved them.
 The matrix covers the four presets x six governors on one short scaled
 workload from each preset's suite, an idle run, ``standard_campaign``
 with the telemetry guard on an Intel and the AMD preset, and one run with
-observability enabled.  Three more cells pin the layers above a single
+observability enabled.  Four cells pin paths the main matrix misses: the
+``msr_fast`` and ``hsmp_mailbox`` switch-latency models (targets adopted
+between decisions), ``silent_campaign`` plus a counter wrap under the
+guard (freeze edges and the wrap land between decisions), and a sparse
+synthetic workload whose sockets run with only some cores active (the
+active-core IPC mean over a partial subset).  Three more cells pin the layers above a single
 run: a plain :meth:`~repro.cluster.simulator.ClusterSimulator.run_fleet`
 under a :class:`~repro.cluster.failures.NodeFailureModel`, a
 :func:`~repro.coordinator.fleet.run_coordinated_fleet` under
@@ -51,12 +56,19 @@ from repro.cluster.simulator import ClusterSimulator, FleetResult
 from repro.coordinator.config import safe_floor_w
 from repro.coordinator.fleet import ample_budget_w, run_coordinated_fleet
 from repro.coordinator.journal import GrantJournal
-from repro.faults.plan import coordinated_campaign, standard_campaign
+from repro.faults.plan import (
+    FaultPlan,
+    FaultSpec,
+    coordinated_campaign,
+    silent_campaign,
+    standard_campaign,
+)
 from repro.obs.config import ObsConfig
 from repro.obs.exporters import registry_to_dict
 from repro.runtime.batch import run_batch
 from repro.runtime.session import RunResult, make_governor, run_application
 from repro.sim.trace import TimeSeries
+from repro.workloads.base import Segment, Workload
 from repro.workloads.registry import get_workload
 
 MANIFEST_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fingerprints.json")
@@ -78,6 +90,11 @@ PRESET_APPS = {
 }
 GOVERNORS = ("default", "static_max", "static_min", "ups", "magus", "powercap")
 GOVERNOR_OPTIONS = {"powercap": {"cap_w": 160.0}}
+
+#: The silent cell's extra counter wrap: off the governor's decision grid.
+SILENT_WRAP_S = 3.337
+#: Name of the synthetic sparse-activity workload (not in the registry).
+SPARSE_APP = "sparse"
 
 #: Plain fleet: three capped jobs on three nodes; the failure model kills
 #: two nodes mid-job, so one job requeues twice.
@@ -115,12 +132,21 @@ class Cell(NamedTuple):
     #: ``"run"`` (one ``run_application``), ``"fleet"``, ``"coordinated"``
     #: or ``"batch"``.
     layer: str = "run"
+    #: Switch-latency preset for the control backend (``None``: instant).
+    latency: Optional[str] = None
+    #: Fault campaign of a faulted cell: ``"standard"`` or ``"silent"``.
+    campaign: str = "standard"
 
     @property
     def key(self) -> str:
         if self.layer != "run":
             return f"{self.layer}/{self.preset}/{self.governor}"
-        tail = "/faulted" if self.faulted else "/obs" if self.obs else ""
+        if self.faulted and self.campaign != "standard":
+            tail = f"/{self.campaign}"
+        elif self.latency is not None:
+            tail = f"/{self.latency}"
+        else:
+            tail = "/faulted" if self.faulted else "/obs" if self.obs else ""
         return f"{self.preset}/{self.app or 'idle'}/{self.governor}{tail}"
 
 
@@ -134,7 +160,41 @@ def cells() -> List[Cell]:
     out.append(Cell("intel_a100", None, "magus", layer="fleet"))
     out.append(Cell("intel_a100", None, "ups", layer="coordinated"))
     out.append(Cell("intel_a100", None, "magus", layer="batch"))
+    out.append(Cell("intel_a100", "srad", "magus", latency="msr_fast"))
+    out.append(Cell("amd_mi210", "gromacs", "ups", latency="hsmp_mailbox"))
+    out.append(Cell("intel_a100", "srad", "magus", faulted=True, campaign="silent"))
+    out.append(Cell("intel_a100", SPARSE_APP, "ups"))
     return out
+
+
+def sparse_workload() -> Workload:
+    """Phases at 0.1-0.3 % CPU utilisation: only the hottest cores count as
+    active, so the per-socket IPC mean runs over a strict, varying subset.
+    Memory demand alternates so the governor still moves the uncore."""
+    segments = []
+    for i in range(16):
+        segments.append(
+            Segment(
+                duration_s=0.5,
+                mem_bw_gbps=(6.0, 22.0, 14.0, 30.0)[i % 4],
+                mem_intensity=0.6,
+                cpu_util=(0.001, 0.002, 0.003)[i % 3],
+                gpu_util=0.4,
+                name=f"sparse{i}",
+            )
+        )
+    return Workload(SPARSE_APP, tuple(segments), "sparse-activity synthetic phases")
+
+
+def fault_plan(cell: Cell) -> Optional[FaultPlan]:
+    """The fault campaign of ``cell`` (``None`` when it is fault-free)."""
+    if not cell.faulted:
+        return None
+    if cell.campaign == "silent":
+        plan = silent_campaign(SEED, horizon_s=NOMINAL_S)
+        wrap = FaultSpec("msr", "wrap", SILENT_WRAP_S, 0.0, count=1)
+        return FaultPlan((*plan.specs, wrap), seed=SEED, name="silent+wrap")
+    return standard_campaign(SEED, horizon_s=NOMINAL_S)
 
 
 def run_cell(cell: Cell) -> RunResult:
@@ -142,16 +202,20 @@ def run_cell(cell: Cell) -> RunResult:
     governor = make_governor(cell.governor, **GOVERNOR_OPTIONS.get(cell.governor, {}))
     if cell.app is None:
         return run_application(cell.preset, None, governor, seed=SEED, max_time_s=IDLE_S)
-    workload = get_workload(cell.app, seed=SEED)
-    workload = workload.scaled(NOMINAL_S / workload.nominal_duration_s)
+    if cell.app == SPARSE_APP:
+        workload = sparse_workload()
+    else:
+        workload = get_workload(cell.app, seed=SEED)
+        workload = workload.scaled(NOMINAL_S / workload.nominal_duration_s)
     return run_application(
         cell.preset,
         workload,
         governor,
         seed=SEED,
-        fault_plan=standard_campaign(SEED, horizon_s=NOMINAL_S) if cell.faulted else None,
+        fault_plan=fault_plan(cell),
         guard=True if cell.faulted else None,
         obs=ObsConfig(enabled=True) if cell.obs else None,
+        actuation_latency=cell.latency,
     )
 
 
