@@ -183,4 +183,5 @@ class ControlBackend(abc.ABC):
         """True while a programmed transition has not been adopted yet."""
 
     def on_tick(self, dt_s: float) -> None:
-        """Per-tick hook (settling accounting). Purely observational."""
+        """Per-step hook (settling accounting over the node's latest
+        block of ticks). Purely observational."""

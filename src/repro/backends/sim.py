@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.backends.base import ControlBackend
 from repro.backends.latency import ACTUATION_SECONDS_BUCKETS, LatencyModel
 from repro.errors import BackendError
@@ -138,17 +140,20 @@ class SimBackend(ControlBackend):
         )
 
     def on_tick(self, dt_s: float) -> None:
-        """Count ticks spent settling (latency window or slew ramp).
+        """Count the ticks of the node's latest step spent settling (in a
+        latency window or a slew ramp on any socket).
 
         Purely observational: nothing here feeds back into simulated
         state, so the zero-latency path stays bit-identical.
         """
-        for _, unc in self.hub.node.sockets:
-            if unc.in_transition:
-                self.settling_ticks += 1
-                if self._metrics is not None:
-                    self._metrics.counter("repro.actuation.settling_ticks").inc()
-                return
+        block = self.hub.node.last_block
+        if block is None:
+            return
+        settling = int(np.count_nonzero(block.in_transition))
+        if settling:
+            self.settling_ticks += settling
+            if self._metrics is not None:
+                self._metrics.counter("repro.actuation.settling_ticks").inc(float(settling))
 
     # ------------------------------------------------------------------
     # Internals

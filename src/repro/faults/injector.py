@@ -29,9 +29,12 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import FaultInjectionError, MSRAccessError, TelemetryError
 from repro.faults.incidents import Incident, IncidentLog
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.sim.clock import running_sum
 from repro.telemetry.hsmp import _MAILBOX_ENERGY_J, _MAILBOX_TIME_S
 from repro.telemetry.msr import COUNTER_WIDTH_BITS, IA32_FIXED_CTR0, MSR_UNCORE_RATIO_LIMIT
 from repro.telemetry.sampling import AccessMeter
@@ -100,9 +103,17 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Time-driven faults
     # ------------------------------------------------------------------
-    def on_tick(self, dt_s: float) -> None:
-        """Advance campaign time; fire point faults and window entries."""
-        self.now_s += dt_s
+    def on_tick(self, dt_s: float, n_ticks: int = 1) -> None:
+        """Advance campaign time by ``n_ticks`` ticks; fire point faults and
+        window entries.
+
+        Campaign time adds tick by tick. Events fire at the block's first
+        tick, before the devices advance: a block that would carry one on
+        a later tick — which :meth:`block_ticks` exists to prevent — is
+        refused.
+        """
+        now = self._tick_times(dt_s, n_ticks)
+        self.now_s = float(now[0])
         for i, spec in enumerate(self.plan.specs):
             if spec.kind == "wrap" and not self._fired[i] and self.now_s >= spec.start_s:
                 self._fired[i] = True
@@ -114,6 +125,42 @@ class FaultInjector:
                 if self._remaining[i] >= 1:
                     self._remaining[i] -= 1
                     self._log_injection(spec, outcome="silent", detail="counter frozen")
+        if n_ticks > 1:
+            late = self.block_ticks(dt_s, n_ticks, now=now)
+            if late < n_ticks:
+                raise FaultInjectionError(
+                    f"fault event at tick {late} of a {n_ticks}-tick block "
+                    f"(t={float(now[late])!r}s); events must start a block"
+                )
+            self.now_s = float(now[-1])
+
+    def block_ticks(self, dt_s: float, max_ticks: int, *, now: Optional[np.ndarray] = None) -> int:
+        """How many of the next ``max_ticks`` ticks one block may span.
+
+        Replays campaign time tick by tick and stops the block before the
+        first later tick on which a counter wrap is due, a freeze window
+        is entered for the first time, or any freeze window opens or
+        closes (PCM stays frozen or live for a whole block). An event on
+        the block's first tick is fine: it fires before the devices
+        advance.
+        """
+        if now is None:
+            now = self._tick_times(dt_s, max_ticks)
+        end = max_ticks
+        for i, spec in enumerate(self.plan.specs):
+            if spec.kind == "wrap" and not self._fired[i]:
+                due = np.flatnonzero(now >= spec.start_s)
+                if due.size and due[0] > 0:
+                    end = min(end, int(due[0]))
+            elif spec.kind == "freeze":
+                inside = (spec.start_s <= now) & (now < spec.end_s)
+                edges = np.flatnonzero(inside[1:] != inside[:-1])
+                if edges.size:
+                    end = min(end, int(edges[0]) + 1)
+        return end
+
+    def _tick_times(self, dt_s: float, n_ticks: int) -> np.ndarray:
+        return running_sum(self.now_s, np.full(n_ticks, dt_s))
 
     def _inject_wrap(self, spec: FaultSpec) -> None:
         instr, cycles = self._msr.read_all_core_counters(None)

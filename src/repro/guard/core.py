@@ -45,6 +45,7 @@ from repro.guard.config import GuardConfig
 from repro.hw.presets import SystemPreset
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tsdb import TimeSeriesDB
+from repro.sim.clock import running_sum
 from repro.telemetry.msr import (
     COUNTER_WIDTH_BITS,
     MSR_UNCORE_RATIO_LIMIT,
@@ -185,9 +186,10 @@ class TelemetryGuard:
             raise TelemetryError("guard is already bound to a hub")
         self._hub = hub
 
-    def on_tick(self, dt_s: float) -> None:
-        """Advance the guard's clock (mirrors the hub's sim clock)."""
-        self.now_s += dt_s
+    def on_tick(self, dt_s: float, n_ticks: int = 1) -> None:
+        """Advance the guard's clock by ``n_ticks`` ticks (mirrors the
+        hub's sim clock, adding tick by tick)."""
+        self.now_s = float(running_sum(self.now_s, np.full(n_ticks, dt_s))[-1])
 
     def attach_metrics(self, registry: MetricsRegistry) -> None:
         """Export ``repro.guard.*`` counters and breaker-state gauges."""

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import PowerModelError
 
 __all__ = ["MemoryServiceResult", "MemorySubsystem"]
@@ -124,9 +126,10 @@ class MemorySubsystem:
         traffic_util = min(1.0, delivered / self.peak_bw_gbps)
         return MemoryServiceResult(delivered, stretch, traffic_util, served)
 
-    def dram_power_w(self, delivered_gbps: float) -> float:
-        """DRAM power at the given delivered throughput."""
-        if delivered_gbps < 0:
+    def dram_power_w(self, delivered_gbps):
+        """DRAM power at the given delivered throughput (a scalar, or a
+        per-tick column)."""
+        if np.any(np.asarray(delivered_gbps) < 0):
             raise PowerModelError(f"negative delivered throughput {delivered_gbps!r}")
         return self.dram_base_w + self.dram_w_per_gbps * delivered_gbps
 

@@ -8,9 +8,26 @@ integer tick counter plus a fixed tick width ``dt``.  Using integer ticks
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ClockError
 
-__all__ = ["SimClock"]
+__all__ = ["SimClock", "running_sum"]
+
+
+def running_sum(start: float, increments: np.ndarray) -> np.ndarray:
+    """Every value a float accumulator takes while adding ``increments``.
+
+    ``np.add.accumulate`` adds strictly left to right, so element ``i`` is
+    bit for bit what ``start += increments[0]; ...; start +=
+    increments[i]`` leaves behind.  (``np.sum`` adds pairwise and may round
+    differently.)  Blocks of ticks advance their accumulators — simulated
+    time, energy and byte counters — through this one helper.
+    """
+    out = np.empty(len(increments) + 1)
+    out[0] = start
+    out[1:] = increments
+    return np.add.accumulate(out)[1:]
 
 
 class SimClock:

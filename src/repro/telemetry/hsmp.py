@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import TelemetryCosts
+from repro.sim.clock import running_sum
 from repro.telemetry.sampling import AccessMeter
 
 __all__ = ["HSMPDevice"]
@@ -54,13 +57,13 @@ class HSMPDevice:
         self._time_s = 0.0
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate delivered DDR traffic for the bandwidth queries."""
+        """Integrate delivered DDR traffic over the node's latest step."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
-        state = self.node.last_state
-        delivered = state.delivered_gbps if state is not None else 0.0
-        self._bytes_total += delivered * 1e9 * dt_s
-        self._time_s += dt_s
+        block = self.node.last_block
+        delivered = block.delivered_gbps if block is not None else np.zeros(1)
+        self._bytes_total = float(running_sum(self._bytes_total, delivered * 1e9 * dt_s)[-1])
+        self._time_s = float(running_sum(self._time_s, np.full(len(delivered), dt_s))[-1])
 
     # ------------------------------------------------------------------
     # Telemetry

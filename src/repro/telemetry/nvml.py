@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
+from repro.sim.clock import running_sum
 from repro.telemetry.sampling import AccessMeter
 
 __all__ = ["NVMLDevice"]
@@ -30,12 +31,12 @@ class NVMLDevice:
         self._energy_j = 0.0
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate GPU board energy for one tick."""
+        """Integrate GPU board energy over every tick of the node's latest step."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
-        state = self.node.last_state
-        if state is not None:
-            self._energy_j += state.power.gpu_w * dt_s
+        block = self.node.last_block
+        if block is not None:
+            self._energy_j = float(running_sum(self._energy_j, block.gpu_w * dt_s)[-1])
 
     @property
     def device_count(self) -> int:

@@ -21,9 +21,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import TelemetryCosts
+from repro.sim.clock import running_sum
 from repro.telemetry.sampling import AccessMeter
 
 __all__ = ["PCMCounters"]
@@ -56,14 +59,21 @@ class PCMCounters:
         self._history.append((0.0, 0.0))
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate the node's delivered traffic for one tick."""
+        """Integrate the node's delivered traffic over its latest step.
+
+        One snapshot per tick of the step; pruning once against the last
+        tick's horizon keeps exactly the snapshots tick-by-tick pruning
+        would (the horizon only moves forward).
+        """
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
-        state = self.node.last_state
-        delivered = state.delivered_gbps if state is not None else 0.0
-        self._bytes_total += delivered * _BYTES_PER_GB * dt_s
-        self._time_s += dt_s
-        self._history.append((self._time_s, self._bytes_total))
+        block = self.node.last_block
+        delivered = block.delivered_gbps if block is not None else np.zeros(1)
+        totals = running_sum(self._bytes_total, delivered * _BYTES_PER_GB * dt_s).tolist()
+        times = running_sum(self._time_s, np.full(len(delivered), dt_s)).tolist()
+        self._bytes_total = totals[-1]
+        self._time_s = times[-1]
+        self._history.extend(zip(times, totals))
         horizon = self._time_s - _HISTORY_SPAN_S
         while len(self._history) > 2 and self._history[0][0] < horizon:
             self._history.popleft()

@@ -15,6 +15,7 @@ from typing import Dict, Optional
 from repro.errors import TelemetryError
 from repro.hw.node import HeterogeneousNode
 from repro.hw.presets import TelemetryCosts
+from repro.sim.clock import running_sum
 from repro.telemetry.sampling import AccessMeter
 from repro.units import JOULES_PER_RAPL_UNIT
 
@@ -49,14 +50,15 @@ class RAPLCounters:
         self._energy_j: Dict[str, float] = {RAPL_PKG: 0.0, RAPL_DRAM: 0.0}
 
     def on_tick(self, dt_s: float) -> None:
-        """Integrate the node's current power draw for one tick."""
+        """Integrate the node's power draw over every tick of its latest step."""
         if dt_s <= 0:
             raise TelemetryError(f"dt must be positive, got {dt_s!r}")
-        state = self.node.last_state
-        if state is None:
+        block = self.node.last_block
+        if block is None:
             return
-        self._energy_j[RAPL_PKG] += state.power.package_w * dt_s
-        self._energy_j[RAPL_DRAM] += state.power.dram_w * dt_s
+        energy = self._energy_j
+        energy[RAPL_PKG] = float(running_sum(energy[RAPL_PKG], block.package_w * dt_s)[-1])
+        energy[RAPL_DRAM] = float(running_sum(energy[RAPL_DRAM], block.dram_w * dt_s)[-1])
 
     def energy_j(self, domain: str, meter: Optional[AccessMeter] = None) -> float:
         """Cumulative energy of a domain in joules (non-wrapping view)."""

@@ -1,7 +1,8 @@
 """Whole-run invariants over random (preset, workload, governor, seed) draws.
 
 Each example is one short fault-free ``run_application`` with a probe
-observer that watches the telemetry hub tick by tick:
+observer that watches the telemetry hub tick by tick (the engine advances
+blocks of ticks; the probe reads every tick's counters out of each block):
 
 * the RAPL PKG/DRAM energy counters equal the integral of the recorded
   ``pkg_w``/``dram_w`` traces (the two sums run in different orders, hence
@@ -10,6 +11,11 @@ observer that watches the telemetry hub tick by tick:
   completes;
 * the per-core MSR fixed counters never move backwards modulo 2^48, even
   when parked just below the wrap before the first tick.
+
+A second property runs fault campaigns (standard or silent, guard on) over
+random (preset, seed) draws: every incident's fault id resolves — each id
+a response names was issued by the injector, and every fault that raised
+got a response.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.plan import silent_campaign, standard_campaign
 from repro.hw.presets import PRESETS
 from repro.runtime.session import make_governor, run_application
 from repro.sim.observers import BaseTickObserver, TelemetryObserver
@@ -31,7 +38,7 @@ HALF_RANGE = 1 << (COUNTER_WIDTH_BITS - 1)
 
 
 class HubProbe(BaseTickObserver):
-    """Finds the run's telemetry hub and snapshots the MSR counters each tick."""
+    """Finds the run's telemetry hub and snapshots the MSR counters of every tick."""
 
     def __init__(self, park: int) -> None:
         self.park = park
@@ -45,8 +52,10 @@ class HubProbe(BaseTickObserver):
         self.hub.msr.jump_counters(self.park)
         self.counters.append(self.hub.msr.read_all_core_counters())
 
-    def on_tick(self, state, execution):
-        self.counters.append(self.hub.msr.read_all_core_counters())
+    def on_tick(self, block, execution):
+        instructions, cycles = self.hub.msr.block_counters()
+        assert len(instructions) == len(cycles) == block.n_ticks
+        self.counters.extend(zip(instructions, cycles))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -84,3 +93,36 @@ def test_whole_run_invariants(preset, app, governor, seed, park):
     for (ins0, cyc0), (ins1, cyc1) in zip(probe.counters, probe.counters[1:]):
         assert (counter_delta_array(ins1, ins0) < HALF_RANGE).all()
         assert (counter_delta_array(cyc1, cyc0) < HALF_RANGE).all()
+
+
+CAMPAIGNS = {"standard": standard_campaign, "silent": silent_campaign}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    app=st.sampled_from(workload_names()),
+    campaign=st.sampled_from(sorted(CAMPAIGNS)),
+    governor=st.sampled_from(("ups", "magus")),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_every_incident_fault_id_resolves(preset, app, campaign, governor, seed):
+    workload = get_workload(app, seed=seed)
+    workload = workload.scaled(NOMINAL_S / workload.nominal_duration_s)
+    result = run_application(
+        preset, workload, make_governor(governor), seed=seed, dt_s=DT_S,
+        per_core_channels=False,
+        fault_plan=CAMPAIGNS[campaign](seed, horizon_s=NOMINAL_S), guard=True,
+    )
+    injected = {i.fault_id for i in result.incidents if i.source == "injector"}
+    assert None not in injected and len(injected) == sum(
+        1 for i in result.incidents if i.source == "injector"
+    )
+    responses = {
+        i.fault_id for i in result.incidents if i.source != "injector" and i.fault_id is not None
+    }
+    assert responses <= injected
+    raised = {
+        i.fault_id for i in result.incidents if i.source == "injector" and i.outcome == "raised"
+    }
+    assert raised <= responses

@@ -216,8 +216,8 @@ class TestObserverAPI:
             def on_start(self, engine):
                 events.append("start")
 
-            def on_tick(self, state, execution):
-                events.append("tick")
+            def on_tick(self, block, execution):
+                events.extend(["tick"] * block.n_ticks)
 
             def on_finish(self, result):
                 events.append(("finish", result.completed))
