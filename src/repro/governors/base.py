@@ -162,7 +162,7 @@ class UncoreGovernor(abc.ABC):
     def observers(self) -> Sequence[TickObserver]:
         """Tick observers this policy contributes to the engine (optional).
 
-        A governor that wants per-tick visibility — recording an internal
+        A governor that wants tick-level visibility — recording an internal
         signal as a trace channel, or capturing extra hardware state the
         standard stack does not (the way UPS's per-core sweep once had to
         be special-cased inside the engine) — returns the observers here;

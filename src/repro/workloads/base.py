@@ -91,7 +91,7 @@ class Workload:
         """Total nominal duration (the runtime at fully satisfied demand).
 
         Summed once on first read and cached on the instance (segments are
-        immutable); the engine reads it every tick through ``progress``.
+        immutable); the node step reads it every tick through ``progress``.
         """
         return float(sum(s.duration_s for s in self.segments))
 
@@ -149,9 +149,9 @@ class Workload:
 class WorkloadExecution:
     """A mutable cursor tracking progress through a workload.
 
-    The engine calls :meth:`current` each tick to learn the active demand and
-    :meth:`advance` with the amount of *nominal* time that elapsed (wall time
-    divided by the stretch factor). When a tick spans a segment boundary the
+    The node step calls :meth:`current` each tick to learn the active demand
+    and :meth:`advance` with the amount of *nominal* time that elapsed (wall
+    time divided by the stretch factor). When a tick spans a segment boundary the
     cursor rolls into the next segment, consuming the remainder.
     """
 
