@@ -14,7 +14,7 @@ detector can tell when the workload calms down.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Optional
 
 from repro.core.config import MagusConfig
 from repro.core.dynamics import tune_event_rate
@@ -43,6 +43,8 @@ class HighFrequencyDetector:
         self._flags: Deque[int] = deque(
             [0] * config.tune_history_len, maxlen=config.tune_history_len
         )
+        #: :meth:`rate` of the current FIFO (None once a log invalidates it).
+        self._rate: Optional[float] = None
 
     @property
     def flags(self) -> List[int]:
@@ -57,10 +59,13 @@ class HighFrequencyDetector:
         workload, not the actuation.
         """
         self._flags.append(1 if tuned else 0)
+        self._rate = None
 
     def rate(self) -> float:
         """Current tune-event rate over the window, in [0, 1]."""
-        return tune_event_rate(list(self._flags))
+        if self._rate is None:
+            self._rate = tune_event_rate(self._flags)
+        return self._rate
 
     def is_high_frequency(self) -> bool:
         """Run Algorithm 2: is the workload in high-frequency state?"""
@@ -73,3 +78,4 @@ class HighFrequencyDetector:
         self._flags = deque(
             [0] * self.config.tune_history_len, maxlen=self.config.tune_history_len
         )
+        self._rate = None

@@ -117,8 +117,14 @@ class MagusGovernor(UncoreGovernor):
             sample_start = now_s + meter.time_s
         throughput = ctx.telemetry.read_throughput_mbps(meter)
         if tracer is not None:
-            sid = tracer.begin("governor.sample", sample_start, category="sample", counter="pcm")
-            tracer.end(sid, now_s + meter.time_s, throughput_mbps=throughput)
+            tracer.complete(
+                "governor.sample",
+                sample_start,
+                now_s + meter.time_s,
+                category="sample",
+                counter="pcm",
+                throughput_mbps=throughput,
+            )
         self.predictor.observe(throughput)
         self._samples.append((now_s, throughput))
         self._cycle += 1

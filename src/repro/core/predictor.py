@@ -10,7 +10,7 @@ policy quicker to grant bandwidth than to take it away.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List
+from typing import Deque, List, Optional
 
 from repro.core.config import MagusConfig
 from repro.core.dynamics import first_derivative
@@ -37,6 +37,9 @@ class TrendPredictor:
     def __init__(self, config: MagusConfig = MagusConfig()):
         self.config = config
         self._history: Deque[float] = deque(maxlen=config.history_len)
+        #: :meth:`derivative` of the current window (None once a sample
+        #: invalidates it).
+        self._derivative: Optional[float] = None
 
     @property
     def history(self) -> List[float]:
@@ -57,6 +60,7 @@ class TrendPredictor:
         if throughput_mbps != throughput_mbps:  # NaN guard
             raise ConfigError("throughput sample is NaN")
         self._history.append(max(0.0, float(throughput_mbps)))
+        self._derivative = None
 
     def predict(self) -> int:
         """Run Algorithm 1 over the current window.
@@ -70,7 +74,7 @@ class TrendPredictor:
         """
         if not self.ready:
             return TREND_FLAT
-        d = first_derivative(list(self._history), self.config.direv_length)
+        d = self.derivative()
         if d > self.config.inc_threshold:
             return TREND_UP
         if d < -self.config.dec_threshold:
@@ -85,10 +89,13 @@ class TrendPredictor:
         ConfigError
             If called before the window has filled.
         """
-        if not self.ready:
-            raise ConfigError("predictor window not yet filled")
-        return first_derivative(list(self._history), self.config.direv_length)
+        if self._derivative is None:
+            if not self.ready:
+                raise ConfigError("predictor window not yet filled")
+            self._derivative = first_derivative(self._history, self.config.direv_length)
+        return self._derivative
 
     def reset(self) -> None:
         """Drop all history (used between applications)."""
         self._history.clear()
+        self._derivative = None

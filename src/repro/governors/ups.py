@@ -177,10 +177,15 @@ class UPSGovernor(UncoreGovernor):
             sample_start = now_s + meter.time_s
         ipc, dram_power = self._measure(now_s, meter)
         if tracer is not None:
-            sid = tracer.begin(
-                "governor.sample", sample_start, category="sample", counter="msr_sweep"
+            tracer.complete(
+                "governor.sample",
+                sample_start,
+                now_s + meter.time_s,
+                category="sample",
+                counter="msr_sweep",
+                ipc=ipc,
+                dram_power_w=dram_power,
             )
-            tracer.end(sid, now_s + meter.time_s, ipc=ipc, dram_power_w=dram_power)
         if ipc is None:
             return Decision(now_s, None, "warmup")
 

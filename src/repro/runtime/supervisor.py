@@ -158,6 +158,10 @@ class SupervisedDaemon:
         """Begin the wrapped daemon's schedule."""
         self.daemon.start(now_s)
 
+    def finish(self, now_s: float) -> None:
+        """End of the run: the wrapped daemon publishes its metrics."""
+        self.daemon.finish(now_s)
+
     def next_fire_s(self) -> float:
         """The daemon's schedule, or the re-arm time while degraded."""
         if self.degraded:

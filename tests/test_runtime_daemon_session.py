@@ -4,6 +4,9 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.governors.static import StaticUncoreGovernor
+from repro.obs import ObsConfig
+from repro.obs.config import Observability
+from repro.obs.registry import DEFAULT_JOULES_BUCKETS, Histogram
 from repro.runtime.daemon import MonitorDaemon
 from repro.runtime.overhead import measure_overhead
 from repro.runtime.session import make_governor, run_application
@@ -72,6 +75,67 @@ class TestDaemonScheduling:
         engine.run(None, max_time_s=3.0)
         assert len(daemon.decisions) >= 5
         assert daemon.mean_invocation_s == pytest.approx(0.1, abs=0.01)
+
+
+class TestCycleMetrics:
+    """The daemon's per-cycle metrics are published by ``finish``."""
+
+    def _observed_daemon(self, node, hub, governor="magus"):
+        obs = Observability.coerce(ObsConfig(enabled=True))
+        hub.attach_metrics(obs.registry)
+        daemon = MonitorDaemon(make_governor(governor), hub, node, obs=obs)
+        daemon.start(0.0)
+        node.step(0.01, None)
+        hub.on_tick(0.01)
+        return daemon, obs.registry
+
+    def test_finish_publishes_per_cycle_values(self, a100_node, a100_hub):
+        daemon, registry = self._observed_daemon(a100_node, a100_hub)
+        for _ in range(12):
+            daemon.invoke(daemon.next_fire_s())
+        assert registry.get("repro.daemon.cycles") is None
+        daemon.finish(daemon.next_fire_s())
+
+        n = len(daemon.decisions)
+        acted = sum(d.target_ghz is not None for d in daemon.decisions)
+        assert registry.counter("repro.daemon.cycles").value == float(n)
+        holds = registry.get("repro.daemon.holds")
+        assert (holds.value if holds is not None else 0.0) == float(n - acted)
+        actuations = registry.get("repro.daemon.actuations")
+        assert (actuations.value if actuations is not None else 0.0) == float(acted)
+        # The histogram equals one observe() per cycle, in cycle order.
+        got = registry.histogram("repro.daemon.invocation_seconds")
+        expected = Histogram("repro.daemon.invocation_seconds", got.bounds)
+        for value in daemon.invocation_times_s:
+            expected.observe(value)
+        assert (got.bucket_counts, got.count, got.sum) == (
+            expected.bucket_counts, expected.count, expected.sum
+        )
+        assert registry.histogram(
+            "repro.daemon.cycle_energy_joules", DEFAULT_JOULES_BUCKETS
+        ).count == n
+        # MAGUS reads PCM once per cycle.
+        assert registry.counter("repro.telemetry.reads.pcm").value == float(n)
+
+    def test_finish_publishes_each_cycle_once(self, a100_node, a100_hub):
+        daemon, registry = self._observed_daemon(a100_node, a100_hub)
+        for _ in range(3):
+            daemon.invoke(daemon.next_fire_s())
+        daemon.finish(daemon.next_fire_s())
+        daemon.finish(daemon.next_fire_s())
+        assert registry.counter("repro.daemon.cycles").value == 3.0
+        daemon.invoke(daemon.next_fire_s())
+        daemon.finish(daemon.next_fire_s())
+        assert registry.counter("repro.daemon.cycles").value == 4.0
+        assert registry.counter("repro.telemetry.reads.pcm").value == 4.0
+
+    def test_engine_publishes_at_run_end(self):
+        result = run_application(
+            "intel_a100", "bfs", make_governor("magus"), seed=1, max_time_s=3.0,
+            obs=ObsConfig(enabled=True),
+        )
+        cycles = [s for s in result.spans if s.name == "daemon.cycle"]
+        assert result.metrics.counter("repro.daemon.cycles").value == float(len(cycles))
 
 
 class TestRunApplication:
